@@ -44,10 +44,13 @@
 // Sharding: -shards N (with -journal) runs N independent durable arbiter
 // shards — each with its own engine, write-ahead journal under
 // <dir>/shard-<i>, and checkpoint namespace — behind a router on the
-// public socket. Submits route by consistent hash on the job id; a shard
-// supervisor health-probes every shard and restarts crashed ones from
-// their journals with capped exponential backoff, while requests for a
-// down shard get typed shard-unavailable replies instead of hangs.
+// public socket. Shards run in-process and bind no socket: the router
+// hands requests straight to each shard's ingress ring, so -socket (plus
+// any -listen specs) is all the daemon binds. Submits route by
+// consistent hash on the job id; a shard supervisor health-probes every
+// shard and restarts crashed ones from their journals with capped
+// exponential backoff, while requests for a down shard get typed
+// shard-unavailable replies instead of hangs.
 // Router-only ops: {"op":"shards"} for the supervision report,
 // {"op":"migrate","id":"j1","shard":2} for checkpoint-carried live
 // migration, {"op":"retire","shard":0} to migrate a shard's jobs off and

@@ -262,12 +262,15 @@ func (e *DLTExecutor) admit(j *DLTJob) bool {
 		e.met.degraded.Inc()
 		return true
 	case admission.RejectJob:
+		j.rejectErr = dec.Err
+		j.retryAfterSecs = dec.RetryAfterSecs
 		e.rejectJob(j, StatusRejected, dec.Reason)
 		return false
 	case admission.ShedVictim:
 		v := e.shedVictim(j)
 		if v == nil {
 			ctrl.ResolveShed(req, false)
+			j.rejectErr = admission.ShedRefusalErr(j.ID(), depth, ctrl.Config().MaxQueueDepth)
 			e.rejectJob(j, StatusRejected, "queue-full no-victim")
 			return false
 		}

@@ -49,6 +49,11 @@ type DLTJob struct {
 	bestEffort      bool
 	watchdogStrikes int
 
+	// Admission refusal detail, mirroring AQPJob: the typed cause and the
+	// quota layer's retry hint, set when the gate rejects the job.
+	rejectErr      error
+	retryAfterSecs float64
+
 	// convergedAtEpoch records the first epoch at which the delta check
 	// fired (0 = never) — the metrics' convergence-line.
 	convergedAtEpoch int
@@ -99,6 +104,15 @@ func (j *DLTJob) Tenant() string { return j.tenant }
 // the attribution is folded into admission, fair-share, and fast-path
 // state at registration.
 func (j *DLTJob) SetTenant(t string) { j.tenant = t }
+
+// RejectErr returns the typed admission refusal cause for a
+// StatusRejected job (nil otherwise). Match with errors.Is against the
+// admission package's sentinel errors.
+func (j *DLTJob) RejectErr() error { return j.rejectErr }
+
+// RetryAfterSecs returns the quota layer's retry hint for a refused
+// job; 0 when the refusal was not time-based.
+func (j *DLTJob) RetryAfterSecs() float64 { return j.retryAfterSecs }
 
 // Criteria returns the completion criterion.
 func (j *DLTJob) Criteria() criteria.Criteria { return j.crit }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -297,5 +298,50 @@ func TestOverloadObsCountersAgree(t *testing.T) {
 	}
 	if v := get("rotary_aqp_running_jobs"); v != 0 {
 		t.Errorf("running_jobs gauge = %v after drain", v)
+	}
+}
+
+// TestDLTTenantQuotaRefusalTyped: a DLT tenant refused by its quota gets
+// the same typed cause and retry hint an AQP tenant does — the refusal
+// detail must not depend on which executor ran the gate.
+func TestDLTTenantQuotaRefusalTyped(t *testing.T) {
+	specs := mustGenDLT(t, 2, 7)
+	ctrl := admission.NewController(admission.Config{
+		Tenants: admission.TenantTable{Tenants: map[string]admission.TenantQuota{
+			"alpha": {RatePerSec: 0.01, Burst: 1},
+		}},
+	})
+	cfg := core.DefaultDLTExecConfig()
+	cfg.Admission = ctrl
+	repo := estimate.NewRepository()
+	if err := workload.SeedDLTHistory(repo, 40, 30, 3); err != nil {
+		t.Fatal(err)
+	}
+	exec := core.NewDLTExecutor(cfg, core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3)), repo)
+	var jobs []*core.DLTJob
+	for _, spec := range specs {
+		j, err := workload.BuildDLTJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.SetTenant("alpha")
+		exec.Submit(j, 0) // the same instant: the second finds the bucket empty
+		jobs = append(jobs, j)
+	}
+	if err := exec.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if jobs[0].Status() == core.StatusRejected || jobs[0].RejectErr() != nil {
+		t.Fatalf("first job spent the burst token yet was refused: %v (%v)", jobs[0].Status(), jobs[0].RejectErr())
+	}
+	refused := jobs[1]
+	if refused.Status() != core.StatusRejected {
+		t.Fatalf("second job found an empty bucket yet ended %v", refused.Status())
+	}
+	if !errors.Is(refused.RejectErr(), admission.ErrTenantQuotaExceeded) {
+		t.Fatalf("refusal cause %v, want ErrTenantQuotaExceeded", refused.RejectErr())
+	}
+	if refused.RetryAfterSecs() <= 0 {
+		t.Fatalf("rate refusal carries retry hint %v, want > 0", refused.RetryAfterSecs())
 	}
 }

@@ -292,8 +292,8 @@ func TestOverloadedRefusal(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		srv.reqCh <- request{msg: Message{Op: "health"}, reply: make(chan Response, 1)}
 	}
-	resp := srv.dispatch(Message{Op: "submit", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
-	if resp.Code != CodeOverloaded {
+	resp, err := srv.dispatch(Message{Op: "submit", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}, nil)
+	if err != nil || resp.Code != CodeOverloaded {
 		t.Fatalf("dispatch on a full ring: %+v, want code %q", resp, CodeOverloaded)
 	}
 	if resp.RetryAfterSecs <= 0 {

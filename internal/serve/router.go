@@ -1,22 +1,26 @@
 // Sharded multi-arbiter serving: a router fronting N shard workers, each
-// a full durable arbiter (own engine, journal, checkpoint namespace) on
-// a private socket. The router speaks the same JSON-line protocol as a
-// single server, so existing clients work unchanged: submits are routed
-// by consistent hash on the job id, status follows the job wherever it
-// lives (including across migrations), and stats/metrics/health fan in
-// across shards — per-shard metrics merge into one scrape under a
-// shard="i" label. Router-only ops extend the protocol:
+// a full durable arbiter (own engine, journal, checkpoint namespace)
+// running as a driver-only Server in the router's process. The router
+// owns the only socket and hands each request straight to its shard's
+// ingress ring, so concurrent connections batch into one group commit
+// per shard. It speaks the same protocol as a single server, so existing
+// clients work unchanged: submits are routed by consistent hash on the
+// job id, status follows the job wherever it lives (including across
+// migrations), and stats/metrics/health fan in across shards —
+// per-shard metrics merge into one scrape under a shard="i" label.
+// Router-only ops extend the protocol:
 //
 //	shards    the supervision report, one row per shard
 //	migrate   move a job to another shard via checkpoint-carried handoff
 //	retire    migrate a shard's jobs off, drain it, reroute around it
 //
 // Graceful degradation is the router's core robustness contract: every
-// router→shard call is deadline-bounded (never a hang), and a down shard
-// yields a typed shard-unavailable reply with a retry-after hint while
-// the supervisor restarts it from its journal. Down shards are never
-// rerouted around — their durable state lives in their journal — but
-// retired shards are, by walking the hash ring to the next live shard.
+// router→shard call is bounded by the router deadline (never a hang),
+// and a down shard yields a typed shard-unavailable reply with a
+// retry-after hint while the supervisor restarts it from its journal.
+// Down shards are never rerouted around — their durable state lives in
+// their journal — but retired shards are, by walking the hash ring to
+// the next live shard.
 package serve
 
 import (
@@ -39,15 +43,12 @@ import (
 
 // RouterConfig parameterizes a sharded daemon.
 type RouterConfig struct {
-	// Socket is the router's public Unix socket. Shard i listens on
-	// Socket + ".shard<i>" unless SocketFor overrides it.
+	// Socket is the router's public Unix socket — the daemon's only
+	// socket: shards run in-process and bind none.
 	Socket string
 	// Listeners are extra public listen specs ("tcp:host:port" or
 	// "unix:/path") served alongside Socket, each speaking both codecs.
-	// Shard sockets stay private Unix sockets regardless.
 	Listeners []string
-	// SocketFor overrides the per-shard socket path.
-	SocketFor func(index int) string
 	// Shards is the shard count (>= 1).
 	Shards int
 	// Dir is the durable-state root; shard i journals under Dir/shard-<i>.
@@ -76,8 +77,6 @@ type RouterConfig struct {
 	// Defaults to 100ms / 5s.
 	RestartBackoff    time.Duration
 	MaxRestartBackoff time.Duration
-	// RequestTimeout bounds every router→shard round trip. Defaults to 2s.
-	RequestTimeout time.Duration
 	// DiskIO, when set, supplies the disk-I/O layer each shard's durable
 	// pair (journal + checkpoint store) routes through — the torture
 	// harness's hook for dealing per-shard disk faults. Called at boot
@@ -90,6 +89,17 @@ type RouterConfig struct {
 	MaxHealFailures int
 }
 
+// shardCallDeadline bounds every router→shard call a client waits on:
+// a shard that has not answered by then is reported shard-unavailable.
+const shardCallDeadline = 2 * time.Second
+
+// probeDeadlines is how many call deadlines the supervisor's own calls —
+// readiness, clock catch-up, health probes — wait before it declares a
+// shard wedged. A client should not wait long, but a restart costs a
+// journal replay, so a shard busy with one long op (a far advance) must
+// not be mistaken for a wedged one.
+const probeDeadlines = 3
+
 // Router is the sharded daemon's front end.
 type Router struct {
 	cfg    RouterConfig
@@ -97,6 +107,9 @@ type Router struct {
 	shards []*shardHandle
 	reg    *obs.Registry
 	met    *routerMetrics
+	// deadline is shardCallDeadline; in-package tests may shorten it
+	// before Serve.
+	deadline time.Duration
 
 	// locMu guards the routing state: the job-location overrides
 	// (migrations and reroutes beat the ring), the submit id counter, and
@@ -109,17 +122,14 @@ type Router struct {
 	// migMu serializes migrations (including the ones retire runs).
 	migMu sync.Mutex
 
+	frontEnd
 	mu    sync.Mutex
-	lns   []net.Listener
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
 	final Response
 
 	ready       chan struct{}
 	supStop     chan struct{}
 	supDone     chan struct{}
 	supStopOnce sync.Once
-	closeOnce   sync.Once
 }
 
 // routerMetrics holds the router's own obs handles: per-op request
@@ -179,10 +189,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Build == nil {
 		return nil, errors.New("serve: router needs a shard builder")
 	}
-	if cfg.SocketFor == nil {
-		base := cfg.Socket
-		cfg.SocketFor = func(i int) string { return fmt.Sprintf("%s.shard%d", base, i) }
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 200 * time.Millisecond
 	}
@@ -191,9 +197,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.MaxRestartBackoff <= 0 {
 		cfg.MaxRestartBackoff = 5 * time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 2 * time.Second
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -204,17 +207,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:     newHashRing(cfg.Shards, cfg.Vnodes),
 		reg:      reg,
 		met:      newRouterMetrics(reg, cfg.Shards),
+		deadline: shardCallDeadline,
 		location: make(map[string]int),
-		conns:    make(map[net.Conn]struct{}),
 		ready:    make(chan struct{}),
 		supStop:  make(chan struct{}),
 		supDone:  make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		r.shards = append(r.shards, &shardHandle{
-			index:  i,
-			socket: cfg.SocketFor(i),
-			dir:    filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i)),
+			index: i,
+			dir:   filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i)),
 		})
 	}
 	return r, nil
@@ -233,54 +235,14 @@ func (r *Router) Serve() error {
 			r.markDown(h, err)
 		}
 	}
-	lns, err := bindListeners(r.cfg.Socket, r.cfg.Listeners)
-	if err != nil {
+	if err := r.bind(r.cfg.Socket, r.cfg.Listeners); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.lns = lns
-	r.mu.Unlock()
 	go r.supervise()
 	close(r.ready)
-	var accept sync.WaitGroup
-	for _, ln := range lns {
-		accept.Add(1)
-		go func(ln net.Listener) {
-			defer accept.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return // listener closed by drain/close
-				}
-				r.mu.Lock()
-				r.conns[conn] = struct{}{}
-				r.mu.Unlock()
-				r.wg.Add(1)
-				go r.serveConn(conn)
-			}
-		}(ln)
-	}
-	accept.Wait()
-	r.mu.Lock()
-	for c := range r.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	r.mu.Unlock()
-	r.wg.Wait()
+	r.accept(func(conn net.Conn) { connLoop(conn, r.handleMessage, nil, nil) })
+	r.settle()
 	return nil
-}
-
-// ListenAddrs reports the bound listener addresses, in bind order (the
-// Unix socket first). Useful with "tcp:127.0.0.1:0" specs, where the
-// kernel picks the port.
-func (r *Router) ListenAddrs() []net.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	addrs := make([]net.Addr, 0, len(r.lns))
-	for _, ln := range r.lns {
-		addrs = append(addrs, ln.Addr())
-	}
-	return addrs
 }
 
 // Ready is closed once every shard has been started (or marked down) and
@@ -307,12 +269,12 @@ func (r *Router) Drain() Response {
 	var notes []string
 	for _, h := range r.shards {
 		h.mu.Lock()
-		state, cl := h.state, h.client
+		state, srv := h.state, h.srv
 		h.state = ShardRetired // no restarts past this point
 		h.mu.Unlock()
 		switch state {
 		case ShardRunning:
-			resp, err := cl.Do(Message{Op: "drain"})
+			resp, err := r.callShard(srv, Message{Op: "drain"}, r.deadline)
 			if err != nil {
 				ok = false
 				notes = append(notes, fmt.Sprintf("shard %d: drain: %v", h.index, err))
@@ -344,7 +306,7 @@ func (r *Router) Drain() Response {
 	r.mu.Lock()
 	r.final = resp
 	r.mu.Unlock()
-	r.shutdown()
+	r.closeListeners()
 	return resp
 }
 
@@ -362,7 +324,7 @@ func (r *Router) Close() {
 			srv.Kill()
 		}
 	}
-	r.shutdown()
+	r.closeListeners()
 }
 
 func (r *Router) stopSupervisor() {
@@ -373,30 +335,6 @@ func (r *Router) stopSupervisor() {
 	default:
 		// Serve never got far enough to start the supervisor.
 	}
-}
-
-func (r *Router) shutdown() {
-	r.closeOnce.Do(func() {
-		r.mu.Lock()
-		for _, ln := range r.lns {
-			ln.Close()
-		}
-		r.mu.Unlock()
-	})
-}
-
-// serveConn mirrors the single server's connection loop: the codec is
-// negotiated per connection (JSON lines or the binary framing), replies
-// are typed errors for malformed or oversized input.
-func (r *Router) serveConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-	}()
-	connLoop(conn, r.handleMessage, nil, nil)
 }
 
 // handleLine parses and executes one request line. It is the fuzzing
@@ -455,12 +393,25 @@ func (r *Router) shardArg(m Message) (*shardHandle, Response, bool) {
 	return r.shards[m.Shard], Response{}, true
 }
 
+// callShard runs one op on a shard's driver through its ingress ring,
+// waiting at most within: a wedged shard costs the caller that long,
+// never a hang. A nil srv is a shard between incarnations (a restart
+// in progress, which retire can race), so it has no driver to answer.
+func (r *Router) callShard(srv *Server, m Message, within time.Duration) (Response, error) {
+	if srv == nil {
+		return Response{}, errDriverStopped
+	}
+	t := time.NewTimer(within)
+	defer t.Stop()
+	return srv.dispatch(m, t.C)
+}
+
 // forward sends one request to a shard, translating its supervision
-// state and any transport failure into typed replies. The shard client's
-// deadlines guarantee the call returns; it never hangs.
+// state, a missed deadline, or a driver that stopped mid-call into typed
+// replies.
 func (r *Router) forward(h *shardHandle, m Message) Response {
 	h.mu.Lock()
-	state, cl := h.state, h.client
+	state, srv := h.state, h.srv
 	h.mu.Unlock()
 	switch state {
 	case ShardRetired:
@@ -469,7 +420,7 @@ func (r *Router) forward(h *shardHandle, m Message) Response {
 	default:
 		return r.unavailable(h)
 	}
-	resp, err := cl.Do(m)
+	resp, err := r.callShard(srv, m, r.deadline)
 	if err != nil {
 		r.met.unavailable[h.index].Inc()
 		return Response{
@@ -857,8 +808,9 @@ func (r *Router) transferCheckpoint(src, dst *shardHandle, id string) error {
 // retire migrates every job the router has located on the shard to its
 // ring successor, drains the emptied shard, and reroutes around it
 // permanently. Retire is an online operation driven by the router's
-// location map; jobs submitted directly to the shard's private socket
-// are not tracked and drain with the shard.
+// location map; jobs the map does not hold — recovered from a shard's
+// journal before this router incarnation located them — are not
+// tracked and drain with the shard.
 func (r *Router) retire(m Message) Response {
 	h, errResp, ok := r.shardArg(m)
 	if !ok {
@@ -896,13 +848,13 @@ func (r *Router) retire(m Message) Response {
 		}
 	}
 	// Flip the state before draining so the supervisor does not mistake
-	// the drain-induced serve exit for a crash and restart the shard.
+	// the drain-induced driver exit for a crash and restart the shard.
 	h.mu.Lock()
-	cl := h.client
+	srv := h.srv
 	h.state = ShardRetired
 	h.mu.Unlock()
 	r.met.shardUp[h.index].Set(0)
-	final, err := cl.Do(Message{Op: "drain"})
+	final, err := r.callShard(srv, Message{Op: "drain"}, r.deadline)
 	resp := Response{OK: true, Shard: h.index, Status: "retired", Jobs: moved, VirtualNow: final.VirtualNow}
 	if err != nil {
 		resp.Error = fmt.Sprintf("serve: retire shard %d: drain: %v", h.index, err)

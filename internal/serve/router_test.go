@@ -8,11 +8,15 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rotary/internal/core"
+	"rotary/internal/diskio"
 	"rotary/internal/obs"
 	"rotary/internal/tpch"
 )
@@ -22,14 +26,54 @@ import (
 // submissions deterministically.
 func idOwnedBy(t *testing.T, r *Router, shard int) string {
 	t.Helper()
-	for i := 0; i < 10000; i++ {
+	return idsOwnedBy(t, r, shard, 1)[0]
+}
+
+// idsOwnedBy finds n distinct job ids whose hash owner is shard.
+func idsOwnedBy(t *testing.T, r *Router, shard, n int) []string {
+	t.Helper()
+	var ids []string
+	for i := 0; i < 10000*n && len(ids) < n; i++ {
 		id := fmt.Sprintf("own-%d-%d", shard, i)
 		if r.ring.Owner(id, func(int) bool { return true }) == shard {
-			return id
+			ids = append(ids, id)
 		}
 	}
-	t.Fatalf("no id hashing to shard %d in 10000 candidates", shard)
-	return ""
+	if len(ids) < n {
+		t.Fatalf("only %d of %d ids hash to shard %d", len(ids), n, shard)
+	}
+	return ids
+}
+
+// stallIO is the real filesystem with fsyncs that stall on demand: while
+// stalled is set, every fsync first sleeps for hold — a wedged disk with
+// a deterministic onset. stalls counts the fsyncs that began stalling.
+type stallIO struct {
+	diskio.OS
+	hold    time.Duration
+	stalled atomic.Bool
+	stalls  atomic.Int64
+}
+
+func (s *stallIO) OpenFile(name string, flag int, perm os.FileMode) (diskio.File, error) {
+	f, err := s.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return stallFile{File: f, io: s}, nil
+}
+
+type stallFile struct {
+	diskio.File
+	io *stallIO
+}
+
+func (f stallFile) Sync() error {
+	if f.io.stalled.Load() {
+		f.io.stalls.Add(1)
+		time.Sleep(f.io.hold)
+	}
+	return f.File.Sync()
 }
 
 // TestRouterSubmitRoutingAndStatus: the router speaks the single-server
@@ -115,10 +159,11 @@ func TestRouterSubmitRoutingAndStatus(t *testing.T) {
 }
 
 // TestRouterShardUnavailableTyped is the graceful-degradation contract:
-// a dead shard yields a typed shard-unavailable reply with a
-// retry-after hint — promptly, never a hang — both before the
-// supervisor has noticed the crash (transport failure) and after it has
-// (probed-down). The surviving shard keeps serving throughout.
+// a dead or wedged shard yields a typed shard-unavailable reply with a
+// retry-after hint — promptly, never a hang — before the supervisor has
+// noticed the crash, after it has (probed-down), when the shard's disk
+// stalls past the router deadline, and when the shard dies while a
+// forward waits on it. The surviving shard keeps serving throughout.
 func TestRouterShardUnavailableTyped(t *testing.T) {
 	t.Run("undetected-crash", func(t *testing.T) {
 		base := t.TempDir()
@@ -194,24 +239,200 @@ func TestRouterShardUnavailableTyped(t *testing.T) {
 			t.Fatalf("shards report: %+v", sh)
 		}
 	})
+
+	t.Run("fsync-stall-past-deadline", func(t *testing.T) {
+		const deadline = 100 * time.Millisecond
+		disk := &stallIO{hold: 2 * time.Second}
+		base := t.TempDir()
+		r := startTestRouterDeadline(t, RouterConfig{
+			Socket:         filepath.Join(base, "r.sock"),
+			Shards:         2,
+			Dir:            filepath.Join(base, "state"),
+			Pace:           0,
+			ProbeInterval:  10 * time.Millisecond,
+			RestartBackoff: time.Hour, // marked down, never restarted mid-test
+			DiskIO: func(i int) diskio.IO {
+				if i == 0 {
+					return disk
+				}
+				return nil
+			},
+		}, deadline)
+		defer disk.stalled.Store(false)
+		c := dial(t, r.cfg.Socket)
+		disk.stalled.Store(true)
+		start := time.Now()
+		resp := c.call(t, Message{Op: "submit", ID: idOwnedBy(t, r, 0), Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
+		elapsed := time.Since(start)
+		if resp.OK || resp.Code != CodeShardUnavailable || resp.Shard != 0 || resp.RetryAfterSecs <= 0 {
+			t.Fatalf("submit to a shard stalled in fsync: %+v", resp)
+		}
+		if elapsed < deadline || elapsed > disk.hold/2 {
+			t.Fatalf("stalled submit answered after %v; want the %v deadline, well inside the %v stall", elapsed, deadline, disk.hold)
+		}
+		// The supervisor's probe queues behind the same stall, misses its
+		// own (longer) deadline too, and takes the shard down.
+		waitShardState(t, r, 0, ShardDown, 5*time.Second)
+		if resp := c.call(t, Message{Op: "submit", ID: idOwnedBy(t, r, 1), Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !resp.OK || resp.Shard != 1 {
+			t.Fatalf("submit to surviving shard: %+v", resp)
+		}
+		sh := c.call(t, Message{Op: "shards"})
+		if !sh.OK || sh.Shards[0].State != "down" || !strings.Contains(sh.Shards[0].Error, ErrTimeout.Error()) {
+			t.Fatalf("shards report after the stall: %+v", sh)
+		}
+	})
+
+	t.Run("killed-mid-forward", func(t *testing.T) {
+		disk := &stallIO{hold: 300 * time.Millisecond}
+		base := t.TempDir()
+		r := startTestRouter(t, RouterConfig{
+			Socket:        filepath.Join(base, "r.sock"),
+			Shards:        2,
+			Dir:           filepath.Join(base, "state"),
+			Pace:          0,
+			ProbeInterval: time.Hour, // only the forwards touch the shard
+			DiskIO: func(i int) diskio.IO {
+				if i == 0 {
+					return disk
+				}
+				return nil
+			},
+		})
+		ids := idsOwnedBy(t, r, 0, 2)
+		first, second := dial(t, r.cfg.Socket), dial(t, r.cfg.Socket)
+		disk.stalled.Store(true)
+		// The first submit holds the shard's driver in a stalled fsync; the
+		// second request then waits in the shard's ingress ring.
+		firstDone := make(chan error, 1)
+		go func() {
+			_, err := first.send(Message{Op: "submit", ID: ids[0], Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
+			firstDone <- err
+		}()
+		waitFor(t, func() bool { return disk.stalls.Load() > 0 })
+		secondDone := make(chan Response, 1)
+		go func() {
+			resp, err := second.send(Message{Op: "status", ID: ids[1]})
+			if err != nil {
+				resp = Response{Error: err.Error()}
+			}
+			secondDone <- resp
+		}()
+		srv := r.shards[0].srv
+		waitFor(t, func() bool { return len(srv.reqCh) > 0 })
+		if err := r.KillShard(0); err != nil {
+			t.Fatalf("KillShard: %v", err)
+		}
+		disk.stalled.Store(false)
+		resp := <-secondDone
+		if resp.OK || resp.Code != CodeShardUnavailable || resp.Shard != 0 || resp.RetryAfterSecs <= 0 {
+			t.Fatalf("forward caught by the kill: %+v, want typed %s", resp, CodeShardUnavailable)
+		}
+		if err := <-firstDone; err != nil {
+			t.Fatalf("in-flight submit: %v", err)
+		}
+	})
 }
 
-// TestRouterStaleShardSockets: SIGKILL leaves socket files behind for
-// the router and every shard; the next start must reclaim each of them
-// — one leftover shard socket never aborts the whole daemon's startup.
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRouterShardGroupCommit: concurrent router connections reach one
+// shard's ingress ring together, so the shard group-commits them — more
+// requests than driver batches — while each submit stays acked and
+// answerable. The shard's slow disk widens the window in which requests
+// pile up behind an fsync. No shard binds a socket of its own.
+func TestRouterShardGroupCommit(t *testing.T) {
+	const conns, perConn = 16, 4
+	base := t.TempDir()
+	socket := filepath.Join(base, "r.sock")
+	slow := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 1, SlowSyncRate: 1})
+	r := startTestRouter(t, RouterConfig{
+		Socket:        socket,
+		Shards:        2,
+		Dir:           filepath.Join(base, "state"),
+		Pace:          0,
+		ProbeInterval: time.Hour, // only the submits reach the ring
+		DiskIO: func(i int) diskio.IO {
+			if i == 0 {
+				return slow
+			}
+			return nil
+		},
+	})
+	ids := idsOwnedBy(t, r, 0, conns*perConn)
+	clients := make([]*client, conns)
+	for i := range clients {
+		clients[i] = dial(t, socket)
+	}
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func(c *client, ids []string) {
+			defer wg.Done()
+			for _, id := range ids {
+				resp, err := c.send(Message{Op: "submit", ID: id, Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
+				if err != nil || !resp.OK || resp.Shard != 0 {
+					t.Errorf("submit %s: %+v (%v)", id, resp, err)
+				}
+			}
+		}(c, ids[i*perConn:(i+1)*perConn])
+	}
+	wg.Wait()
+	c := clients[0]
+	for _, id := range ids {
+		if st := c.call(t, Message{Op: "status", ID: id}); !st.OK || st.ID != id || st.Shard != 0 {
+			t.Fatalf("status %s after its acked submit: %+v", id, st)
+		}
+	}
+	met := c.call(t, Message{Op: "metrics"})
+	sample := func(name string) float64 {
+		t.Helper()
+		prefix := name + `{shard="0"} `
+		for _, line := range strings.Split(met.Report, "\n") {
+			if strings.HasPrefix(line, prefix) {
+				v, err := strconv.ParseFloat(strings.TrimPrefix(line, prefix), 64)
+				if err != nil {
+					t.Fatalf("sample %q: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("metrics scrape has no %s for shard 0", name)
+		return 0
+	}
+	reqs, batches := sample("rotary_serve_ingress_requests_total"), sample("rotary_serve_ingress_batches_total")
+	if reqs <= batches {
+		t.Fatalf("shard 0 drained %v requests in %v batches: no group commit across connections", reqs, batches)
+	}
+	t.Logf("shard 0: %v requests in %v batches (%.2f per batch)", reqs, batches, reqs/batches)
+	if leaked, _ := filepath.Glob(socket + ".shard*"); len(leaked) > 0 {
+		t.Fatalf("shards bound sockets: %v", leaked)
+	}
+}
+
+// TestRouterStaleShardSockets: SIGKILL leaves the router's socket file
+// behind; the next start must reclaim it. Shards run in-process and bind
+// no socket, so startup must leave no shard socket files either.
 func TestRouterStaleShardSockets(t *testing.T) {
 	base := t.TempDir()
 	socket := filepath.Join(base, "r.sock")
-	for _, path := range []string{socket, socket + ".shard0", socket + ".shard1"} {
-		ln, err := net.Listen("unix", path)
-		if err != nil {
-			t.Fatalf("plant socket %s: %v", path, err)
-		}
-		ln.(*net.UnixListener).SetUnlinkOnClose(false)
-		ln.Close()
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("stale socket not on disk: %v", err)
-		}
+	ln, err := net.Listen("unix", socket)
+	if err != nil {
+		t.Fatalf("plant socket %s: %v", socket, err)
+	}
+	ln.(*net.UnixListener).SetUnlinkOnClose(false)
+	ln.Close()
+	if _, err := os.Stat(socket); err != nil {
+		t.Fatalf("stale socket not on disk: %v", err)
 	}
 	r := startTestRouter(t, RouterConfig{
 		Socket: socket,
@@ -226,7 +447,10 @@ func TestRouterStaleShardSockets(t *testing.T) {
 	}
 	c := dial(t, socket)
 	if resp := c.call(t, Message{Op: "health"}); !resp.OK || resp.Status != "healthy" {
-		t.Fatalf("health on reclaimed sockets: %+v", resp)
+		t.Fatalf("health on the reclaimed socket: %+v", resp)
+	}
+	if leaked, _ := filepath.Glob(socket + ".shard*"); len(leaked) > 0 {
+		t.Fatalf("startup created shard sockets: %v", leaked)
 	}
 }
 

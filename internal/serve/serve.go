@@ -42,7 +42,9 @@ import (
 
 // Config parameterizes the server.
 type Config struct {
-	// Socket is the Unix socket path to listen on.
+	// Socket is the Unix socket path to listen on. A server with neither
+	// Socket nor Listeners is driver-only: Serve refuses to run it, and
+	// only in-process callers reach it (the router's shards).
 	Socket string
 	// Listeners are extra listen specs served alongside Socket:
 	// "tcp:host:port" or "unix:/path". Every listener speaks both codecs
@@ -350,10 +352,8 @@ type Server struct {
 	// before the catch-up sweep, restoring journal/state agreement.
 	droppedStaged []Record
 
+	frontEnd
 	mu       sync.Mutex
-	lns      []net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
 	final    Response
 	killOnce sync.Once
 }
@@ -378,9 +378,6 @@ type liveEntry struct {
 // New builds a server over an executor and the catalog its jobs bind to.
 // The executor must not be Run — the server drives its engine itself.
 func New(cfg Config, exec *core.AQPExecutor, cat *tpch.Catalog) (*Server, error) {
-	if cfg.Socket == "" {
-		return nil, errors.New("serve: socket path required")
-	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = 50 * time.Millisecond
 	}
@@ -432,7 +429,6 @@ func New(cfg Config, exec *core.AQPExecutor, cat *tpch.Catalog) (*Server, error)
 		jobIndex:    make(map[string]*core.AQPJob),
 		liveJobs:    make(map[string]*liveEntry),
 	}
-	s.conns = make(map[net.Conn]struct{})
 	if s.jl != nil {
 		s.serverEpoch = s.jl.ServerEpoch()
 		if err := s.recoverFromJournal(); err != nil {
@@ -527,68 +523,105 @@ func (m *serveMetrics) count(op string) {
 // blocks until a drain completes (a client "drain" op or a Drain call,
 // typically from the SIGTERM handler).
 func (s *Server) Serve() error {
-	lns, err := bindListeners(s.cfg.Socket, s.cfg.Listeners)
-	if err != nil {
+	if err := s.bind(s.cfg.Socket, s.cfg.Listeners); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.lns = lns
-	s.mu.Unlock()
 	go s.drive()
-	var accept sync.WaitGroup
-	for _, ln := range lns {
-		accept.Add(1)
-		go func(ln net.Listener) {
-			defer accept.Done()
-			s.acceptLoop(ln)
-		}(ln)
-	}
-	accept.Wait()
+	s.accept(s.serveConn)
 	<-s.doneCh
-	// Unblock idle readers without cutting off in-flight replies: a
-	// handler mid-write finishes, then its next read fails and it closes
-	// its own connection.
-	s.mu.Lock()
-	for c := range s.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.settle()
 	return nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by drain
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
+// frontEnd is the socket-owning half of a daemon, shared by the single
+// server and the router: the bound listeners, the live connections, and
+// the accept loops that hand each connection to its handler.
+type frontEnd struct {
+	lnMu   sync.Mutex
+	lns    []net.Listener
+	conns  map[net.Conn]struct{}
+	connWG sync.WaitGroup
 }
 
-// ListenAddrs reports the bound listener addresses (useful when a
-// "tcp:127.0.0.1:0" spec asked the kernel to pick the port).
-func (s *Server) ListenAddrs() []net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addrs := make([]net.Addr, 0, len(s.lns))
-	for _, ln := range s.lns {
+// bind binds the primary Unix socket plus every extra listener spec.
+// The lock is held across the binds, so a caller that reached the first
+// socket and then reads ListenAddrs sees every listener, not a prefix.
+func (f *frontEnd) bind(socket string, extra []string) error {
+	f.lnMu.Lock()
+	defer f.lnMu.Unlock()
+	lns, err := bindListeners(socket, extra)
+	if err != nil {
+		return err
+	}
+	f.lns = lns
+	f.conns = make(map[net.Conn]struct{})
+	return nil
+}
+
+// accept runs one accept loop per listener (bound by a prior bind on
+// the same goroutine), serving each connection on its own goroutine, and
+// returns once every listener has been closed.
+func (f *frontEnd) accept(serve func(net.Conn)) {
+	var loops sync.WaitGroup
+	for _, ln := range f.lns {
+		loops.Add(1)
+		go func(ln net.Listener) {
+			defer loops.Done()
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return // listener closed by drain, kill or close
+				}
+				f.lnMu.Lock()
+				f.conns[conn] = struct{}{}
+				f.lnMu.Unlock()
+				f.connWG.Add(1)
+				go func() {
+					defer f.connWG.Done()
+					serve(conn)
+					conn.Close()
+					f.lnMu.Lock()
+					delete(f.conns, conn)
+					f.lnMu.Unlock()
+				}()
+			}
+		}(ln)
+	}
+	loops.Wait()
+}
+
+// settle unblocks idle readers without cutting off in-flight replies —
+// a handler mid-write finishes, then its next read fails and it closes
+// its own connection — and waits for every handler to return.
+func (f *frontEnd) settle() {
+	f.lnMu.Lock()
+	for c := range f.conns {
+		c.SetReadDeadline(time.Now())
+	}
+	f.lnMu.Unlock()
+	f.connWG.Wait()
+}
+
+// ListenAddrs reports the bound listener addresses, in bind order (the
+// Unix socket first). Useful with "tcp:127.0.0.1:0" specs, where the
+// kernel picks the port.
+func (f *frontEnd) ListenAddrs() []net.Addr {
+	f.lnMu.Lock()
+	defer f.lnMu.Unlock()
+	addrs := make([]net.Addr, 0, len(f.lns))
+	for _, ln := range f.lns {
 		addrs = append(addrs, ln.Addr())
 	}
 	return addrs
 }
 
-func (s *Server) closeListeners() {
-	s.mu.Lock()
-	for _, ln := range s.lns {
+// closeListeners stops accepting; accept returns once every loop sees it.
+func (f *frontEnd) closeListeners() {
+	f.lnMu.Lock()
+	for _, ln := range f.lns {
 		ln.Close()
 	}
-	s.mu.Unlock()
+	f.lnMu.Unlock()
 }
 
 // removeStaleSocket clears a dead Unix socket left by an unclean exit
@@ -674,6 +707,13 @@ func (s *Server) drive() {
 		return base + sim.Time(time.Since(anchor).Seconds()*s.cfg.Pace)
 	}
 	for {
+		// Kill wins over queued work, as SIGKILL would: requests still in
+		// the ring are abandoned, and their callers see the driver stop.
+		select {
+		case <-s.killCh:
+			return
+		default:
+		}
 		select {
 		case r := <-s.reqCh:
 			if s.handleBatch(r) {
@@ -1249,36 +1289,43 @@ func (s *Server) statsResponse() Response {
 
 // serveConn negotiates the connection's codec and runs the shared
 // connection loop: requests in, replies out, typed errors for malformed
-// or oversized input.
+// or oversized input. A driver that stopped before answering reads as
+// draining to the client.
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	connLoop(conn, s.dispatch,
+	connLoop(conn, func(m Message) Response {
+		resp, err := s.dispatch(m, nil)
+		if err != nil {
+			return Response{Error: "serve: server draining", Code: CodeDraining}
+		}
+		return resp
+	},
 		func(codec string) { s.met.conns[codec].Inc() },
 		func() { s.met.oversized.Inc() })
 }
 
-// dispatch forwards one message to the driver goroutine, handling the
-// races around drain (the driver may exit between the send and the
-// reply) and applying ingress backpressure: a full ring answers a typed
-// "overloaded" refusal with a retry hint instead of blocking the
-// connection handler — unbounded buffering just moves the queue
-// somewhere invisible.
-func (s *Server) dispatch(m Message) Response {
+// errDriverStopped: the driver goroutine exited — drained or killed —
+// before it answered a dispatched request.
+var errDriverStopped = errors.New("serve: driver stopped")
+
+// dispatch hands one message to the driver goroutine through the ingress
+// ring and waits for the reply. It handles the races around drain and
+// kill (the driver may exit between the send and the reply; that is
+// errDriverStopped) and applies ingress backpressure: a full ring
+// answers a typed "overloaded" refusal with a retry hint instead of
+// blocking the caller — unbounded buffering just moves the queue
+// somewhere invisible. A non-nil deadline bounds the wait for the reply
+// (ErrTimeout); the driver still handles the request, into a reply
+// buffer nobody reads.
+func (s *Server) dispatch(m Message, deadline <-chan time.Time) (Response, error) {
 	r := request{msg: m, reply: make(chan Response, 1)}
 	select {
 	case s.reqCh <- r:
 	case <-s.doneCh:
-		return Response{Error: "serve: server draining", Code: CodeDraining}
+		return Response{}, errDriverStopped
 	default:
 		select {
 		case <-s.doneCh:
-			return Response{Error: "serve: server draining", Code: CodeDraining}
+			return Response{}, errDriverStopped
 		default:
 		}
 		s.met.overloaded.Inc()
@@ -1286,19 +1333,21 @@ func (s *Server) dispatch(m Message) Response {
 			Error:          fmt.Sprintf("serve: overloaded: ingress ring full (%d queued)", cap(s.reqCh)),
 			Code:           CodeOverloaded,
 			RetryAfterSecs: s.overloadRetryHint(),
-		}
+		}, nil
 	}
 	select {
 	case resp := <-r.reply:
-		return resp
+		return resp, nil
 	case <-s.doneCh:
 		// The driver may have replied just before exiting.
 		select {
 		case resp := <-r.reply:
-			return resp
+			return resp, nil
 		default:
-			return Response{Error: "serve: server draining", Code: CodeDraining}
+			return Response{}, errDriverStopped
 		}
+	case <-deadline:
+		return Response{}, ErrTimeout
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -37,17 +38,27 @@ func dial(t *testing.T, socket string) *client {
 
 func (c *client) call(t *testing.T, m Message) Response {
 	t.Helper()
+	r, err := c.send(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// send is one round trip that reports failure as an error, for calls
+// made off the test goroutine.
+func (c *client) send(m Message) (Response, error) {
 	if err := c.enc.Encode(m); err != nil {
-		t.Fatalf("send: %v", err)
+		return Response{}, fmt.Errorf("send: %v", err)
 	}
 	if !c.sc.Scan() {
-		t.Fatalf("no reply: %v", c.sc.Err())
+		return Response{}, fmt.Errorf("no reply: %v", c.sc.Err())
 	}
 	var r Response
 	if err := json.Unmarshal(c.sc.Bytes(), &r); err != nil {
-		t.Fatalf("bad reply %q: %v", c.sc.Text(), err)
+		return Response{}, fmt.Errorf("bad reply %q: %v", c.sc.Text(), err)
 	}
-	return r
+	return r, nil
 }
 
 func newTestServer(t *testing.T, admit *admission.Controller) (*Server, string) {

@@ -1,7 +1,8 @@
 // One shard of a sharded arbiter daemon: a full durable serving stack —
 // private engine, executor, write-ahead journal, and checkpoint
-// namespace — listening on its own Unix socket, plus the handle the
-// router and supervisor share to manage it. Shards are isolation
+// namespace — run as a driver-only Server that binds no socket (the
+// router hands it requests through its ingress ring), plus the handle
+// the router and supervisor share to manage it. Shards are isolation
 // domains: a shard crash abandons only that shard's in-memory state, and
 // its journal replays it back, exactly as the single-shard durable
 // server recovers from a SIGKILL.
@@ -67,17 +68,13 @@ type ShardBuilder func(index int, store *core.CheckpointStore) (*core.AQPExecuto
 
 // shardHandle is the router/supervisor view of one shard.
 type shardHandle struct {
-	index  int
-	socket string
-	dir    string
+	index int
+	dir   string
 
 	mu        sync.Mutex
 	state     ShardState
 	srv       *Server
 	store     *core.CheckpointStore
-	client    *Client // forwarding client (retries)
-	probe     *Client // single-attempt health-probe client
-	serveDone chan struct{}
 	restarts  int
 	backoff   time.Duration
 	retryAt   time.Time
@@ -101,13 +98,11 @@ func (h *shardHandle) Store() *core.CheckpointStore {
 }
 
 // startShard boots (or restarts) one shard: reopen the durable pair —
-// replaying the journal — build a fresh executor stack on it, serve the
-// shard socket, wait until it answers a health probe, and catch its
-// virtual clock up to the router's advance horizon. Any leftover server
-// from a previous incarnation is killed first so its journal file handle
-// is released before the reopen; a stale shard socket left by a SIGKILL
-// is reclaimed by the server's own dial-probe sweep, so one dead socket
-// never aborts the whole daemon's startup.
+// replaying the journal — build a fresh executor stack on it, start its
+// driver, wait until it answers a health probe, and catch its virtual
+// clock up to the router's advance horizon. Any leftover server from a
+// previous incarnation is killed first so its journal file handle is
+// released before the reopen.
 func (r *Router) startShard(h *shardHandle) error {
 	h.mu.Lock()
 	if old := h.srv; old != nil {
@@ -136,7 +131,6 @@ func (r *Router) startShard(h *shardHandle) error {
 		return fmt.Errorf("shard %d: build: %w", h.index, err)
 	}
 	srv, err := New(Config{
-		Socket:          h.socket,
 		Pace:            r.cfg.Pace,
 		Tick:            r.cfg.Tick,
 		BatchRows:       r.cfg.BatchRows,
@@ -152,63 +146,27 @@ func (r *Router) startShard(h *shardHandle) error {
 		store.Close()
 		return fmt.Errorf("shard %d: %w", h.index, err)
 	}
-	done := make(chan struct{})
-	go func() {
-		srv.Serve()
-		close(done)
-	}()
+	go srv.drive()
 
-	// The probe client's retry loop doubles as the readiness wait: it
-	// redials until the listener is bound, then runs the health op.
-	probe, err := NewClient(ClientConfig{
-		Socket:         h.socket,
-		DialTimeout:    250 * time.Millisecond,
-		Backoff:        10 * time.Millisecond,
-		MaxBackoff:     100 * time.Millisecond,
-		Attempts:       25,
-		RequestTimeout: r.cfg.RequestTimeout,
-	})
-	if err == nil {
-		var resp Response
-		resp, err = probe.Do(Message{Op: "health"})
-		if err == nil {
-			// Clock catch-up: a restart rewinds the shard to its last
-			// journaled position; advance it back to the furthest horizon the
-			// router has broadcast so it rejoins its peers' timeline.
-			if target := r.virtualTargetGet(); target > resp.VirtualNow {
-				_, err = probe.Do(Message{Op: "advance", Seconds: target - resp.VirtualNow})
-			}
-			h.mu.Lock()
-			h.lastEpoch = resp.ServerEpoch
-			h.mu.Unlock()
-		}
+	// A health probe is the readiness check. Then clock catch-up: a
+	// restart rewinds the shard to its last journaled position; advance it
+	// back to the furthest horizon the router has broadcast so it rejoins
+	// its peers' timeline.
+	resp, err := r.callShard(srv, Message{Op: "health"}, probeDeadlines*r.deadline)
+	if target := r.virtualTargetGet(); err == nil && target > resp.VirtualNow {
+		_, err = r.callShard(srv, Message{Op: "advance", Seconds: target - resp.VirtualNow}, probeDeadlines*r.deadline)
 	}
 	if err != nil {
 		srv.Kill()
 		store.Close()
 		return fmt.Errorf("shard %d: readiness: %w", h.index, err)
 	}
-	client, err := NewClient(ClientConfig{
-		Socket:         h.socket,
-		DialTimeout:    500 * time.Millisecond,
-		Backoff:        25 * time.Millisecond,
-		MaxBackoff:     250 * time.Millisecond,
-		Attempts:       3,
-		RequestTimeout: r.cfg.RequestTimeout,
-	})
-	if err != nil {
-		srv.Kill()
-		store.Close()
-		return fmt.Errorf("shard %d: %w", h.index, err)
-	}
 
 	h.mu.Lock()
 	wasRestart := h.restarts > 0 || h.state == ShardRestarting || h.state == ShardDown
 	h.srv = srv
 	h.store = store
-	h.client = client
-	h.probe = probe
-	h.serveDone = done
+	h.lastEpoch = resp.ServerEpoch
 	h.state = ShardRunning
 	h.backoff = 0
 	h.lastErr = nil

@@ -36,6 +36,13 @@ func testShardBuilder(index int, store *core.CheckpointStore) (*core.AQPExecutor
 // defaults and tears it down with the test.
 func startTestRouter(t *testing.T, cfg RouterConfig) *Router {
 	t.Helper()
+	return startTestRouterDeadline(t, cfg, shardCallDeadline)
+}
+
+// startTestRouterDeadline is startTestRouter with the router→shard call
+// deadline shortened (or lengthened) to deadline.
+func startTestRouterDeadline(t *testing.T, cfg RouterConfig, deadline time.Duration) *Router {
+	t.Helper()
 	if cfg.Build == nil {
 		cfg.Build = testShardBuilder
 	}
@@ -49,6 +56,7 @@ func startTestRouter(t *testing.T, cfg RouterConfig) *Router {
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
+	r.deadline = deadline
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -1,17 +1,16 @@
 // Shard supervisor: the watchdog that turns a shard crash into a
 // bounded outage instead of a dead daemon. One goroutine probes every
-// shard's health op on a wall-clock cadence; a probe failure (or the
-// shard's serve loop exiting) marks it down, and downed shards are
-// restarted with capped exponential backoff by reopening their journal —
-// replaying every fsynced transition — and catching their virtual clock
-// up to the router's advance horizon. Probes are deliberately
+// shard's health op on a wall-clock cadence; a probe that misses its
+// deadline (or finds the shard's driver exited) marks it down, and
+// downed shards are restarted with capped exponential backoff by
+// reopening their journal — replaying every fsynced transition — and
+// catching their virtual clock up to the router's advance horizon. Probes are deliberately
 // trace-neutral: the health op reads state without mutating the engine
 // or emitting trace events, so supervised runs stay bit-identical to
 // unsupervised ones on the shards that never crash.
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -41,7 +40,7 @@ func (r *Router) supervise() {
 
 // checkShard advances one shard's supervision state machine:
 //
-//	Running    → probe; a dead serve loop or failed probe marks it Down
+//	Running    → probe; a dead driver or failed probe marks it Down
 //	Down       → once the backoff expires, attempt a restart
 //	Retired    → final; never probed, never restarted
 //
@@ -49,21 +48,14 @@ func (r *Router) supervise() {
 // performing the start.
 func (r *Router) checkShard(h *shardHandle) {
 	h.mu.Lock()
-	state, probe, done := h.state, h.probe, h.serveDone
+	state, srv := h.state, h.srv
 	retryAt := h.retryAt
 	h.mu.Unlock()
 	switch state {
 	case ShardRunning:
-		// A serve loop that exited is a crash even if a last probe would
-		// still squeak through on a buffered connection.
-		select {
-		case <-done:
-			r.met.probeFailures[h.index].Inc()
-			r.markDown(h, errors.New("serve loop exited"))
-			return
-		default:
-		}
-		resp, err := probe.Do(Message{Op: "health"})
+		// A driver that exited (errDriverStopped) is a crash; one that
+		// misses the deadline (ErrTimeout) is wedged.
+		resp, err := r.callShard(srv, Message{Op: "health"}, probeDeadlines*r.deadline)
 		if err != nil {
 			r.met.probeFailures[h.index].Inc()
 			r.markDown(h, err)
@@ -77,12 +69,7 @@ func (r *Router) checkShard(h *shardHandle) {
 		// the cheaper first responder.
 		if resp.Status == "journal-failed" {
 			r.met.probeFailures[h.index].Inc()
-			h.mu.Lock()
-			srv := h.srv
-			h.mu.Unlock()
-			if srv != nil {
-				srv.Kill()
-			}
+			srv.Kill()
 			r.markDown(h, fmt.Errorf("journal failed beyond self-heal: %s", resp.Error))
 			return
 		}
