@@ -347,3 +347,31 @@ func TestAutoIDAfterMigrateOut(t *testing.T) {
 		t.Fatalf("drain: %+v", r)
 	}
 }
+
+// TestAutoIDNumber pins which journaled ids advance the recovered auto-id
+// counter: only "srv-" plus decimal digits, the form Server and Router
+// mint.
+func TestAutoIDNumber(t *testing.T) {
+	for _, tc := range []struct {
+		id string
+		n  int
+		ok bool
+	}{
+		{"srv-001", 1, true},
+		{"srv-00042", 42, true},
+		{"srv-1234567", 1234567, true},
+		{"srv-", 0, false},
+		{"srv-12abc", 0, false},
+		{"srv-+5", 0, false},
+		{"srv--5", 0, false},
+		{"srv- 5", 0, false},
+		{"srv-99999999999999999999", 0, false},
+		{"SRV-001", 0, false},
+		{"job-7", 0, false},
+		{"fc-alpha", 0, false},
+	} {
+		if n, ok := autoIDNumber(tc.id); n != tc.n || ok != tc.ok {
+			t.Errorf("autoIDNumber(%q) = %d, %v; want %d, %v", tc.id, n, ok, tc.n, tc.ok)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -345,5 +346,180 @@ func TestJournalGarbageFile(t *testing.T) {
 	// And the journal is writable again.
 	if err := jl.Append(Record{Kind: recClock, At: 1}); err != nil {
 		t.Fatalf("append after garbage recovery: %v", err)
+	}
+}
+
+// lifecycleGroup returns one job's submit, verdict and terminal records.
+func lifecycleGroup(id string, at float64) []Record {
+	return []Record{
+		{Kind: recSubmit, ID: id, ReqID: "r-" + id, Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS", At: at},
+		{Kind: recVerdict, ID: id, Status: "admitted", At: at},
+		{Kind: recTerminal, ID: id, Status: "attained", Epochs: 2, At: at + 0.5},
+	}
+}
+
+// historyGroup is n jobs' lifecycles as one Append group.
+func historyGroup(prefix string, n int) []Record {
+	var recs []Record
+	for i := 0; i < n; i++ {
+		recs = append(recs, lifecycleGroup(fmt.Sprintf("%s%04d", prefix, i), float64(i))...)
+	}
+	return recs
+}
+
+// TestJournalNoCompactionPerCommitPastThreshold pins the end of the
+// compaction cliff: once the snapshot alone exceeds compactBytes, a
+// size-only trigger compacted again on every commit. The snapshot-
+// relative trigger waits for a tail as large as the snapshot.
+func TestJournalNoCompactionPerCommitPastThreshold(t *testing.T) {
+	jl := openTestJournal(t, t.TempDir())
+	jl.SetCompactBytes(2048)
+	if err := jl.Append(historyGroup("h", 100)...); err != nil {
+		t.Fatalf("Append history: %v", err)
+	}
+	_, compactions, size := jl.Stats()
+	if compactions != 1 || size <= 2048 {
+		t.Fatalf("history left %d compactions and a %d-byte segment, want 1 compaction to a snapshot over 2048 bytes", compactions, size)
+	}
+	for i := 0; i < 10; i++ {
+		if err := jl.Append(Record{Kind: recClock, At: float64(200 + i)}); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	if _, c, _ := jl.Stats(); c != compactions {
+		t.Fatalf("10 single-record appends ran %d compactions, want 0", c-compactions)
+	}
+}
+
+// TestJournalCompactionWriteBound checks the trigger's amortization
+// over a long run: the snapshots compaction writes add up to at most the
+// bytes appended plus one snapshot.
+func TestJournalCompactionWriteBound(t *testing.T) {
+	jl := openTestJournal(t, t.TempDir())
+	jl.SetCompactBytes(1024)
+	_, seen, appended := jl.Stats() // appended starts at the boot record
+	var written, lastSnap int64
+	for i := 0; i < 600; i++ {
+		recs := lifecycleGroup(fmt.Sprintf("j%04d", i), float64(i))
+		if i%3 == 0 {
+			recs = recs[:2] // leave some jobs live
+		}
+		for _, rec := range recs {
+			line, err := frameJournalLine(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended += int64(len(line))
+		}
+		if err := jl.Append(recs...); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+		if _, c, size := jl.Stats(); c > seen {
+			written += size // the segment is exactly the new snapshot
+			lastSnap = size
+			seen = c
+		}
+	}
+	if seen < 3 {
+		t.Fatalf("only %d compactions; the run is too short to test amortization", seen)
+	}
+	if written > appended+lastSnap {
+		t.Fatalf("compaction wrote %d bytes over %d compactions, more than %d appended + %d (one snapshot)",
+			written, seen, appended, lastSnap)
+	}
+}
+
+// TestJournalReopenUncompactedTail reopens journals whose active
+// segment — compacted or heal-rolled — carries a large tail the trigger
+// has not yet folded. Replay must yield exactly what the folded form
+// would, and the reopened journal must pick the trigger up where it was
+// (a size-only trigger compacted again at boot).
+func TestJournalReopenUncompactedTail(t *testing.T) {
+	for _, healed := range []bool{false, true} {
+		name := "compacted"
+		if healed {
+			name = "heal-rolled"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			jl, err := OpenJournal(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jl.SetCompactBytes(1024)
+			if err := jl.Append(historyGroup("h", 60)...); err != nil {
+				t.Fatalf("Append history: %v", err)
+			}
+			if healed {
+				jl.writeHook = func([]byte) (int, error) { return 0, fmt.Errorf("injected write error") }
+				if err := jl.Append(Record{Kind: recClock, At: 100}); err == nil {
+					t.Fatal("Append with injected write error succeeded")
+				}
+				jl.writeHook = nil
+				if err := jl.Heal(); err != nil {
+					t.Fatalf("Heal: %v", err)
+				}
+			}
+			// A tail of new jobs and transitions of snapshotted live ones,
+			// well past compactBytes but shorter than the snapshot.
+			for i := 0; i < 25; i++ {
+				id := fmt.Sprintf("t%02d", i)
+				if err := jl.Append(
+					Record{Kind: recSubmit, ID: id, Statement: "q3 ACC MIN 55% WITHIN 2000 SECONDS", Tenant: "beta", At: float64(200 + i)},
+					Record{Kind: recVerdict, ID: id, Status: "degraded", At: float64(200 + i)},
+					Record{Kind: recGrant, ID: id, At: float64(201 + i)},
+				); err != nil {
+					t.Fatalf("Append tail %d: %v", i, err)
+				}
+			}
+			_, compactions, size := jl.Stats()
+			seg := jl.Segment()
+			jl.Close()
+			if size <= 1024 || compactions != 1 {
+				t.Fatalf("tail setup: %d-byte segment after %d compactions, want > 1024 bytes after 1", size, compactions)
+			}
+
+			// The folded form: the records compaction (or heal) would
+			// write for the same state.
+			want, err := ReplayJournal(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			folded := t.TempDir()
+			snap := Record{Kind: recSnapshot, ServerEpoch: want.ServerEpoch, At: want.VirtualNow, Jobs: want.Jobs}
+			content, err := frameJournalLine(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if healed {
+				bar, err := frameJournalLine(Record{Kind: recBarrier, ServerEpoch: want.ServerEpoch, At: want.VirtualNow, Heals: int(want.Heals)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				content = append(content, bar...)
+			}
+			if err := os.WriteFile(filepath.Join(folded, segmentName(seg)), content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			re := openTestJournal(t, dir)
+			ref := openTestJournal(t, folded)
+			if got, exp := re.Recovered(), ref.Recovered(); !reflect.DeepEqual(got, exp) {
+				t.Fatalf("reopened tail recovered\n%+v\nfolded journal recovers\n%+v", got, exp)
+			}
+			if _, c, _ := re.Stats(); c != 0 {
+				t.Fatalf("reopening a tail shorter than its snapshot compacted %d times", c)
+			}
+			// The trigger resumes against the replayed snapshot size: a
+			// few more records still do not compact.
+			for i := 0; i < 5; i++ {
+				if err := re.Append(Record{Kind: recClock, At: float64(300 + i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, c, _ := re.Stats(); c != 0 {
+				t.Fatalf("%d compactions after a short post-restart tail, want 0", c)
+			}
+		})
 	}
 }

@@ -18,6 +18,7 @@ package serve
 import (
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"rotary/internal/core"
@@ -97,8 +98,7 @@ func (s *Server) recoverFromJournal() error {
 		// Recover the auto-id counter past every journaled "srv-<n>" id —
 		// terminal ones included — so a restart never re-mints an id the
 		// journal still remembers.
-		var n int
-		if _, err := fmt.Sscanf(jr.ID, "srv-%d", &n); err == nil && n >= s.nextAutoID {
+		if n, ok := autoIDNumber(jr.ID); ok && n >= s.nextAutoID {
 			s.nextAutoID = n + 1
 		}
 	}
@@ -121,6 +121,20 @@ func (s *Server) recoverFromJournal() error {
 	s.met.recoveredJobs.Add(int64(len(live)))
 	s.syncState()
 	return nil
+}
+
+// autoIDNumber parses an id of the form Server and Router mint: "srv-"
+// followed by decimal digits only. Client-chosen ids never match.
+func autoIDNumber(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "srv-")
+	if !ok || digits == "" || digits[0] < '0' || digits[0] > '9' {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }
 
 // rebuildJob reconstructs one journaled job from its submitted statement,
@@ -193,9 +207,12 @@ func (s *Server) appendNow(recs []Record) error {
 		return err
 	}
 	s.met.journalRecords.Add(int64(len(recs)))
+	// Add this journal's own delta: the counter may be shared with other
+	// servers' journals on one registry.
 	_, compactions, _ := s.jl.Stats()
-	if d := compactions - s.met.journalCompact.Value(); d > 0 {
+	if d := compactions - s.compactSeen; d > 0 {
 		s.met.journalCompact.Add(d)
+		s.compactSeen = compactions
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -383,5 +384,44 @@ func TestClientReconnectAcrossRestart(t *testing.T) {
 	}
 	if r, err := cl.Do(Message{Op: "drain"}); err != nil || !r.OK {
 		t.Fatalf("drain via client: %v %+v", err, r)
+	}
+}
+
+// TestJournalCompactionCounterSharedRegistry: servers sharing one obs
+// registry each add their own journal's compactions to the shared
+// counter. Deriving the delta from the counter's value instead
+// undercounted: the second server's first compaction read as already
+// counted.
+func TestJournalCompactionCounterSharedRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	ds := tpch.Generate(0.005, 1)
+	cat := tpch.NewCatalog(ds, 1)
+	var servers []*Server
+	for i := 0; i < 2; i++ {
+		jl, store, err := OpenDurable(filepath.Join(t.TempDir(), "state"))
+		if err != nil {
+			t.Fatalf("OpenDurable: %v", err)
+		}
+		t.Cleanup(func() { jl.Close(); store.Close() })
+		jl.SetCompactBytes(1024)
+		cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
+		cfg.Obs = reg
+		cfg.Store = store
+		srv, err := New(Config{Obs: reg, Journal: jl}, core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil), cat)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		servers = append(servers, srv)
+	}
+	for i, srv := range servers {
+		if err := srv.appendNow(historyGroup(fmt.Sprintf("s%d-", i), 20)); err != nil {
+			t.Fatalf("server %d append: %v", i, err)
+		}
+		if _, c, _ := srv.jl.Stats(); c != 1 {
+			t.Fatalf("server %d journal compacted %d times, want 1", i, c)
+		}
+	}
+	if got := reg.Counter("rotary_serve_journal_compactions_total", "").Value(); got != 2 {
+		t.Fatalf("shared compactions counter = %d, want 2 (one per journal)", got)
 	}
 }

@@ -311,6 +311,9 @@ type Server struct {
 	reqIndex    map[string]string // req_id -> job id
 	lastClockAt float64
 	jlErr       error
+	// compactSeen is the journal's compaction count already added to the
+	// compactions counter, which servers sharing a registry also feed.
+	compactSeen int64
 	// Heal probing (driver goroutine only): lastHealProbe rate-limits
 	// Journal.Heal attempts to one per HealProbeSecs; healFails counts
 	// consecutive failed attempts — at MaxHealFailures the prober stops
