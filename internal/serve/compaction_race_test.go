@@ -18,10 +18,11 @@ import (
 
 // TestJournalCompactionRacingSubmits hammers a durable server with
 // concurrent submitters and a stats/metrics poller while the journal's
-// compaction threshold is set low enough to fold the log repeatedly
-// mid-storm. Run under -race in CI. The property: compaction racing
-// live appends loses nothing — every submit is journaled, and a
-// post-kill replay recovers the full registry.
+// compaction threshold is set low enough that the log folds several
+// times mid-storm, each time its tail has grown past the last snapshot.
+// Run under -race in CI. The property: compaction racing live appends
+// loses nothing — every submit is journaled, and a post-kill replay
+// recovers the full registry.
 func TestJournalCompactionRacingSubmits(t *testing.T) {
 	base := t.TempDir()
 	dir := base + "/state"
@@ -31,7 +32,7 @@ func TestJournalCompactionRacingSubmits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	jl.SetCompactBytes(2048) // compact constantly under the submit storm
+	jl.SetCompactBytes(2048) // past 2 KiB, compact whenever the tail outgrows the snapshot
 	reg := obs.NewRegistry()
 	ds := tpch.Generate(0.005, 1)
 	cat := tpch.NewCatalog(ds, 1)
@@ -136,8 +137,11 @@ func TestJournalCompactionRacingSubmits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, compactions, _ := jl.Stats(); compactions == 0 {
-		t.Fatalf("no compaction ran during the storm — threshold premise broken")
+	// The storm writes enough tail to pass the snapshot-relative trigger
+	// several times (4 in every measured run); two is the floor at which
+	// a compaction still races submits that follow an earlier one.
+	if _, compactions, _ := jl.Stats(); compactions < 2 {
+		t.Fatalf("%d compactions ran during the storm, want >= 2 — threshold premise broken", compactions)
 	}
 	c := dial(t, socket)
 	for w := 0; w < workers; w++ {
